@@ -80,9 +80,9 @@ bench-decode:
 	$(GO) test -run '^$$' -bench 'ParallelDecode|XTCDecode|PlaybackPrefetch' -benchmem . \
 		| $(GO) run ./cmd/benchjson > BENCH_decode.json
 
-# Ingest wire-speed benchmarks (fused XTC encode, end-to-end serial and
-# pipelined ingest over in-memory backends) rendered to BENCH_ingest.json
-# for the CI artifact and regression tracking.
+# Ingest wire-speed benchmarks (fused XTC encode, end-to-end ingest over
+# in-memory backends) rendered to BENCH_ingest.json for the CI artifact and
+# regression tracking.
 bench-ingest:
 	$(GO) test -run '^$$' -bench 'XTCEncode|IngestParallel' -benchmem . \
 		| $(GO) run ./cmd/benchjson > BENCH_ingest.json

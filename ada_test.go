@@ -155,13 +155,13 @@ func TestFacadePlayback(t *testing.T) {
 	}
 }
 
-func TestFacadeIngestParallelAndFormats(t *testing.T) {
+func TestFacadeIngestFormats(t *testing.T) {
 	acq := ada.New(newStore(t), nil, ada.Options{})
 	pdbBytes, xtcBytes, err := ada.GenerateTrajectory(ada.ScaledSystem(150), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := acq.IngestParallel("/par", pdbBytes, bytes.NewReader(xtcBytes), 2); err != nil {
+	if _, err := acq.Ingest("/xtc", pdbBytes, bytes.NewReader(xtcBytes)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := acq.IngestTrajectory("/adapter", pdbBytes,

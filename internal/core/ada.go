@@ -71,21 +71,6 @@ type Options struct {
 	Schema *Schema
 	// Metrics selects the runtime metrics registry (nil = metrics.Default).
 	Metrics *metrics.Registry
-	// DecodeWorkers bounds IngestParallel's decode pool (<=0 selects
-	// xtc.DefaultWorkers: min of NumCPU and GOMAXPROCS).
-	DecodeWorkers int
-	// DecodeBatchBytes overrides the encoded bytes handed to one decode
-	// worker per work item during IngestParallel (<=0 selects
-	// xtc.DefaultBatchBytes). Smaller batches lower first-frame latency
-	// for live-tailing readers; larger ones amortize per-item overhead.
-	DecodeBatchBytes int
-	// WriteBatchFrames is the number of decoded frames handed to every
-	// subset writer per channel send during IngestParallel (<=0 selects
-	// defaultWriteBatchFrames). Batching amortizes the channel
-	// synchronization across frames — with eight tagged subsets, per-frame
-	// fan-out costs eight send/wake cycles per frame; writers still see
-	// every frame in order.
-	WriteBatchFrames int
 	// ReplicateActive mirrors every subset placed off the default (bulk)
 	// backend — the active "p" subsets under the paper's placement — onto
 	// it at ingest, so a corrupted or down primary fails over to a
@@ -123,7 +108,6 @@ type ingestMetrics struct {
 	bytesWritten    *metrics.Counter
 	decodeNS        *metrics.Histogram // per-frame decompress+decode
 	writeNS         *metrics.Histogram // per-frame categorize+split+write
-	queueHWM        *metrics.Gauge     // IngestParallel fan-out queue high-water mark, in queued frames (counting the batch in flight)
 	progressFrames  *metrics.Gauge     // frames sequenced by the in-flight ingest (live progress)
 }
 
@@ -136,7 +120,6 @@ func newIngestMetrics(reg *metrics.Registry) ingestMetrics {
 		bytesWritten:    reg.Counter("ingest.bytes.written"),
 		decodeNS:        reg.Histogram("ingest.decode.ns"),
 		writeNS:         reg.Histogram("ingest.write.ns"),
-		queueHWM:        reg.Gauge("ingest.queue_depth_hwm"),
 		progressFrames:  reg.Gauge("ingest.progress_frames"),
 	}
 }
@@ -218,23 +201,6 @@ type IngestReport struct {
 	Raw        int64            // bytes after decompression
 	Subsets    map[string]int64 // tag -> stored subset bytes
 	Elapsed    float64          // virtual seconds spent in ingest
-	// Parallel describes the decode worker pool; nil for serial Ingest.
-	Parallel *ParallelIngestReport
-}
-
-// ParallelIngestReport describes how IngestParallel's decode pool behaved.
-type ParallelIngestReport struct {
-	// DecodeWorkers is the size of the decode pool.
-	DecodeWorkers int
-	// WorkerDecodeSec is the virtual decompression time charged to each
-	// pool worker (frames assigned round-robin); the stage's wall-time
-	// contribution is the maximum entry, not the sum.
-	WorkerDecodeSec []float64
-	// WorkerBusyNS is each worker's real wall-clock decode time.
-	WorkerBusyNS []int64
-	// WorkerUtilization is each worker's real busy time relative to the
-	// busiest worker (1.0 = as busy as the bottleneck worker).
-	WorkerUtilization []float64
 }
 
 // Ingest runs the full ADA write path for one dataset: parse the structure
@@ -243,45 +209,7 @@ type ParallelIngestReport struct {
 // the backend its tag maps to. The structure file, label file, per-subset
 // frame indexes, and manifest are stored in the same container.
 func (a *ADA) Ingest(logical string, pdbData []byte, traj io.Reader) (*IngestReport, error) {
-	var start float64
-	if a.env != nil {
-		start = a.env.Clock.Now()
-	}
-	span := a.reg.StartSpan("ingest.total")
-	defer span.End()
-	st, err := a.prepareIngest(logical, pdbData)
-	if err != nil {
-		return nil, err
-	}
-
-	// Decompress + categorize, one frame at a time (the storage node never
-	// holds more than a frame, which is what keeps ADA light-weight).
-	in := &countingReader{r: traj}
-	reader := xtc.NewReader(in)
-	for {
-		before := in.n
-		t0 := time.Now()
-		frame, err := reader.ReadFrame()
-		if err == io.EOF {
-			break
-		}
-		a.im.decodeNS.Observe(time.Since(t0).Nanoseconds())
-		if err != nil {
-			st.abort()
-			return nil, fmt.Errorf("core: ingest %s frame %d: %w", logical, st.report.Frames, err)
-		}
-		frameCompressed := in.n - before
-		a.chargeCPU("decompress", a.opts.Cost.decompressTime(frameCompressed))
-		a.chargeCPU("categorize", a.opts.Cost.categorizeTime(xtc.RawFrameSize(frame.NAtoms())))
-		t1 := time.Now()
-		if err := st.writeFrame(frame, frameCompressed); err != nil {
-			st.abort()
-			return nil, err
-		}
-		a.im.writeNS.Observe(time.Since(t1).Nanoseconds())
-	}
-	st.closeAll()
-	return st.finish(start)
+	return a.IngestTrajectory(logical, pdbData, NewXTCTrajectory(traj))
 }
 
 // crcTee forwards writes to the staged dropping while maintaining the
@@ -343,10 +271,11 @@ func (sw *subsetWriter) writeFrame(frame *xtc.Frame) error {
 func (sw *subsetWriter) storedBytes() int64 { return sw.base + sw.w.BytesWritten() }
 
 // ingestState carries one ingest's shared context between the prepare,
-// frame-loop, and finish phases (serial and parallel paths share it).
+// frame-loop, and finish phases.
 type ingestState struct {
 	a               *ADA
 	logical         string
+	start           float64 // virtual clock at the start of the ingest
 	pdbData         []byte
 	structure       *pdb.Structure
 	labels          *LabelSet
@@ -388,6 +317,10 @@ func (st *ingestState) addExtra(name, backend string, data []byte) {
 // container side effects (ResumeIngest reuses it against an existing
 // container).
 func (a *ADA) analyzeIngest(logical string, pdbData []byte) (*ingestState, error) {
+	var start float64
+	if a.env != nil {
+		start = a.env.Clock.Now()
+	}
 	// Data pre-processor, step 1: analyze the structure file.
 	a.chargeCPU("pdbparse", a.opts.Cost.parseTime(int64(len(pdbData))))
 	structure, err := pdb.Parse(bytes.NewReader(pdbData))
@@ -400,6 +333,7 @@ func (a *ADA) analyzeIngest(logical string, pdbData []byte) (*ingestState, error
 	st := &ingestState{
 		a:         a,
 		logical:   logical,
+		start:     start,
 		pdbData:   pdbData,
 		structure: structure,
 		labels:    BuildLabels(structure),
@@ -507,24 +441,60 @@ func (st *ingestState) abort() {
 	st.a.containers.RemoveContainer(st.logical)
 }
 
-// writeFrame validates one decoded frame, accounts it, and appends it to
-// every subset.
-func (st *ingestState) writeFrame(frame *xtc.Frame, compressedBytes int64) error {
-	if frame.NAtoms() != st.structure.NAtoms() {
-		return fmt.Errorf("core: ingest %s frame %d has %d atoms, structure has %d",
-			st.logical, st.report.Frames, frame.NAtoms(), st.structure.NAtoms())
+// run is the frame loop every ingest shares: read each frame from tr (timed
+// as decode), check it against the structure, charge the virtual decompress
+// and categorize CPU, split and append it to every subset (timed as write),
+// hand it to sink when one is set, and journal a checkpoint every
+// journalCkptEvery frames. It returns nil at the end of tr. On an error,
+// intact reports whether the frames written so far may still be published:
+// true when the loop stopped at a frame it could not read or accept, before
+// touching any subset; false when a write, the sink or a checkpoint failed.
+func (st *ingestState) run(tr TrajectoryReader, sink func(*xtc.Frame) error) (intact bool, err error) {
+	a := st.a
+	for {
+		t0 := time.Now()
+		frame, consumed, err := tr.ReadFrame()
+		if err == io.EOF {
+			return true, nil
+		}
+		a.im.decodeNS.Observe(time.Since(t0).Nanoseconds())
+		if err != nil {
+			return true, fmt.Errorf("core: ingest %s frame %d: %w", st.logical, st.report.Frames, err)
+		}
+		if frame.NAtoms() != st.structure.NAtoms() {
+			return true, fmt.Errorf("core: ingest %s frame %d has %d atoms, structure has %d",
+				st.logical, st.report.Frames, frame.NAtoms(), st.structure.NAtoms())
+		}
+		if tr.Compressed() {
+			a.chargeCPU("decompress", a.opts.Cost.decompressTime(consumed))
+		}
+		a.chargeCPU("categorize", a.opts.Cost.categorizeTime(xtc.RawFrameSize(frame.NAtoms())))
+		t1 := time.Now()
+		if err := st.writeFrame(frame, consumed); err != nil {
+			return false, err
+		}
+		a.im.writeNS.Observe(time.Since(t1).Nanoseconds())
+		if sink != nil {
+			if err := sink(frame); err != nil {
+				return false, err
+			}
+		}
+		st.report.Frames++
+		a.im.progressFrames.Set(int64(st.report.Frames))
+		if st.journal != nil && st.report.Frames%journalCkptEvery == 0 {
+			if err := st.checkpoint(); err != nil {
+				return false, fmt.Errorf("core: ingest %s: %w", st.logical, err)
+			}
+		}
 	}
+}
+
+// writeFrame accounts one accepted frame and appends it to every subset.
+func (st *ingestState) writeFrame(frame *xtc.Frame, compressedBytes int64) error {
 	st.report.Compressed += compressedBytes
 	st.report.Raw += xtc.RawFrameSize(frame.NAtoms())
 	for _, sw := range st.writers {
 		if err := sw.writeFrame(frame); err != nil {
-			return fmt.Errorf("core: ingest %s: %w", st.logical, err)
-		}
-	}
-	st.report.Frames++
-	st.a.im.progressFrames.Set(int64(st.report.Frames))
-	if st.journal != nil && st.report.Frames%journalCkptEvery == 0 {
-		if err := st.checkpoint(); err != nil {
 			return fmt.Errorf("core: ingest %s: %w", st.logical, err)
 		}
 	}
@@ -534,8 +504,6 @@ func (st *ingestState) writeFrame(frame *xtc.Frame, compressedBytes int64) error
 // checkpoint journals the current durable high-water mark: frame count and
 // per-subset byte length plus running CRC32C. ResumeIngest truncates the
 // staged droppings back to the latest checkpoint and continues from there.
-// Only the serial ingest paths checkpoint (the parallel path's writers race
-// ahead of each other, so no consistent cut exists mid-flight).
 func (st *ingestState) checkpoint() error {
 	rec := &journalRecord{
 		Type:       journalCkpt,
@@ -572,7 +540,7 @@ func (st *ingestState) writeStaged(name, backend string, data []byte) error {
 // extras, and replica copies), then commits: journal commit record, rename
 // every staged dropping to its final name, publish the manifest last (its
 // rename is the atomic commit point), and retire the journal.
-func (st *ingestState) finish(start float64) (*IngestReport, error) {
+func (st *ingestState) finish() (*IngestReport, error) {
 	a := st.a
 	// Persist each subset's frame index next to its dropping, enabling
 	// random-access playback without a scan.
@@ -648,7 +616,7 @@ func (st *ingestState) finish(start float64) (*IngestReport, error) {
 		return nil, err
 	}
 	if a.env != nil {
-		st.report.Elapsed = a.env.Clock.Now() - start
+		st.report.Elapsed = a.env.Clock.Now() - st.start
 	}
 	a.im.ingests.Inc()
 	a.im.frames.Add(int64(st.report.Frames))
@@ -771,16 +739,4 @@ func (a *ADA) readDropping(logical, name string) ([]byte, error) {
 		return nil, fmt.Errorf("core: read %s/%s: %w", logical, name, err)
 	}
 	return buf, nil
-}
-
-// countingReader counts bytes consumed from the wrapped reader.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
 }

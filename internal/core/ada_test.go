@@ -350,3 +350,38 @@ func TestSubsetBytesSmallerThanRaw(t *testing.T) {
 		t.Errorf("protein byte fraction = %.3f, composition fraction = %.3f", frac, want)
 	}
 }
+
+// TestSubsetWriterFrameAllocs bounds the steady-state allocation cost of the
+// per-subset write path: with the SubsetInto scratch and pooled encode
+// buffers, splitting and appending one frame must not allocate per frame
+// (modulo amortized growth of the output file).
+func TestSubsetWriterFrameAllocs(t *testing.T) {
+	pdbBytes, traj, _ := testDataset(t, 200, 2)
+	a, _, _ := newADA(t, nil, Options{})
+	st, err := a.prepareIngest("/ds", pdbBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.abort()
+	frame, err := xtc.NewReader(bytes.NewReader(traj)).ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := st.writers[0]
+	for i := 0; i < 4; i++ {
+		if err := sw.writeFrame(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	avg := testing.AllocsPerRun(100, func() {
+		if err := sw.writeFrame(frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// MemFS doubles its backing array as the dropping grows, so a fraction
+	// of runs see one allocation; anything at or above one alloc per frame
+	// means the scratch reuse regressed.
+	if avg >= 1 {
+		t.Errorf("subsetWriter.writeFrame steady state = %.2f allocs/frame, want < 1", avg)
+	}
+}

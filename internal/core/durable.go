@@ -287,159 +287,93 @@ func (a *ADA) replayCommit(logical string, rec *journalRecord) (RecoveryAction, 
 // ingest then runs to a normal atomic commit. pdbData and traj must be the
 // same inputs the interrupted ingest was given.
 func (a *ADA) ResumeIngest(logical string, pdbData []byte, traj io.Reader) (*IngestReport, error) {
-	var start float64
-	if a.env != nil {
-		start = a.env.Clock.Now()
-	}
-	st, _, ck, err := a.resumeStagedState(logical, pdbData, false)
+	st, err := a.resumeStagedState(logical, pdbData, false)
 	if err != nil {
 		return nil, err
 	}
-
 	// Skip the frames the checkpoint already persisted, then ingest the
-	// rest exactly like the serial path.
-	in := &countingReader{r: traj}
-	reader := xtc.NewReader(in)
-	for i := 0; i < ck.Frames; i++ {
-		if _, err := reader.ReadFrame(); err != nil {
+	// rest exactly like a one-shot ingest.
+	tr := NewXTCTrajectory(traj)
+	for i := 0; i < st.report.Frames; i++ {
+		if _, _, err := tr.ReadFrame(); err != nil {
 			st.closeAll()
 			return nil, fmt.Errorf("core: resume %s: source ended at frame %d, checkpoint has %d: %w",
-				logical, i, ck.Frames, err)
+				logical, i, st.report.Frames, err)
 		}
 	}
-	for {
-		before := in.n
-		frame, err := reader.ReadFrame()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			st.closeAll()
-			return nil, fmt.Errorf("core: resume %s frame %d: %w", logical, st.report.Frames, err)
-		}
-		consumed := in.n - before
-		a.chargeCPU("decompress", a.opts.Cost.decompressTime(consumed))
-		a.chargeCPU("categorize", a.opts.Cost.categorizeTime(xtc.RawFrameSize(frame.NAtoms())))
-		if err := st.writeFrame(frame, consumed); err != nil {
-			st.closeAll()
-			return nil, err
-		}
+	if _, err := st.run(tr, nil); err != nil {
+		st.closeAll()
+		return nil, err
 	}
 	st.closeAll()
-	return st.finish(start)
+	return st.finish()
 }
 
 // resumeStagedState rebuilds an interrupted ingest's in-memory state from
-// its journal: the staged subsets truncated to the last checkpoint (prefix
-// CRCs verified), the subset writers and index builders reconstructed over
-// the surviving bytes, the report counters restored, and the journal
-// rewritten compactly (begin plus one checkpoint). Shared by ResumeIngest
-// (live=false) and ResumeLiveIngest (live=true); the begin record's Live
-// flag must match, since the two sessions have different commit rules.
-func (a *ADA) resumeStagedState(logical string, pdbData []byte, live bool) (*ingestState, journalRecord, journalRecord, error) {
-	var zero journalRecord
-	fail := func(err error) (*ingestState, journalRecord, journalRecord, error) {
-		return nil, zero, zero, err
-	}
+// its journal: the staged subsets truncated to the last checkpoint (see
+// stagedPrefix), the subset writers reconstructed over the surviving bytes,
+// the report counters restored, and the journal rewritten compactly.
+// Shared by ResumeIngest (live=false) and ResumeLiveIngest (live=true); the
+// begin record's Live flag must match, since the two sessions have
+// different commit rules.
+func (a *ADA) resumeStagedState(logical string, pdbData []byte, live bool) (*ingestState, error) {
 	recs, err := a.readJournal(logical)
 	if err != nil {
-		return fail(fmt.Errorf("core: resume %s: no journal (nothing to resume): %w", logical, err))
+		return nil, fmt.Errorf("core: resume %s: no journal (nothing to resume): %w", logical, err)
 	}
-	if len(recs) == 0 || recs[0].Type != journalBegin {
-		return fail(fmt.Errorf("core: resume %s: journal has no begin record; run Recover", logical))
+	begin, ck, err := resumePoint(recs)
+	if err != nil {
+		return nil, fmt.Errorf("core: resume %s: %w", logical, err)
 	}
-	begin := recs[0]
 	if begin.Live != live {
 		if live {
-			return fail(fmt.Errorf("core: resume %s: not a live ingest; use ResumeIngest", logical))
+			return nil, fmt.Errorf("core: resume %s: not a live ingest; use ResumeIngest", logical)
 		}
-		return fail(fmt.Errorf("core: resume %s: live ingest; use ResumeLiveIngest", logical))
+		return nil, fmt.Errorf("core: resume %s: live ingest; use ResumeLiveIngest", logical)
 	}
-	ck := journalRecord{Type: journalCkpt} // zero checkpoint: restart from frame 0
-	for _, rec := range recs[1:] {
-		switch rec.Type {
-		case journalCkpt:
-			ck = rec
-		case journalCommit:
-			return fail(fmt.Errorf("core: resume %s: ingest already committed; run Recover", logical))
-		}
-	}
-
 	st, err := a.analyzeIngest(logical, pdbData)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if st.structure.NAtoms() != begin.NAtoms {
-		return fail(fmt.Errorf("core: resume %s: structure has %d atoms, journal began with %d",
-			logical, st.structure.NAtoms(), begin.NAtoms))
+		return nil, fmt.Errorf("core: resume %s: structure has %d atoms, journal began with %d",
+			logical, st.structure.NAtoms(), begin.NAtoms)
 	}
 	tags := sortedTags(st.tagRanges)
 	if len(tags) != len(begin.Tags) {
-		return fail(fmt.Errorf("core: resume %s: categorization yields %d tags, journal began with %d",
-			logical, len(tags), len(begin.Tags)))
+		return nil, fmt.Errorf("core: resume %s: categorization yields %d tags, journal began with %d",
+			logical, len(tags), len(begin.Tags))
 	}
 	for i, tag := range tags {
 		if begin.Tags[i].Tag != tag || begin.Tags[i].Ranges != st.tagRanges[tag].String() {
-			return fail(fmt.Errorf("core: resume %s: tag %q does not match the journaled ingest", logical, tag))
+			return nil, fmt.Errorf("core: resume %s: tag %q does not match the journaled ingest", logical, tag)
 		}
 	}
 
 	// Rebuild each subset writer over the checkpointed prefix of its
 	// staged dropping.
+	fail := func(err error) (*ingestState, error) {
+		st.closeAll()
+		return nil, fmt.Errorf("core: resume %s: %w", logical, err)
+	}
 	for _, tag := range tags {
-		mark := ck.Subsets[tag] // zero value when no checkpoint was reached
-		prefix, err := a.readDropping(logical, stagingPrefix+subsetPrefix+tag)
+		prefix, err := a.stagedPrefix(logical, tag, ck.Subsets[tag], ck.Frames)
 		if err != nil {
-			if mark.Bytes == 0 && errors.Is(err, vfs.ErrNotExist) {
-				prefix = nil // the crash predates this dropping; recreate it empty
-			} else {
-				st.closeAll()
-				return fail(fmt.Errorf("core: resume %s subset %s: %w", logical, tag, err))
-			}
-		}
-		if int64(len(prefix)) < mark.Bytes {
-			st.closeAll()
-			return fail(fmt.Errorf("core: resume %s subset %s: staged dropping is %d bytes, checkpoint says %d",
-				logical, tag, len(prefix), mark.Bytes))
-		}
-		prefix = prefix[:mark.Bytes]
-		var prefixCRC uint32
-		if !a.opts.DisableChecksums {
-			prefixCRC = xtc.CRC32C(prefix)
-			if mark.CRC != 0 && prefixCRC != mark.CRC {
-				st.closeAll()
-				return fail(fmt.Errorf("core: resume %s subset %s: checkpointed prefix fails its checksum: %w",
-					logical, tag, vfs.ErrCorrupted))
-			}
-		}
-		var idx *xtc.Index
-		if len(prefix) > 0 {
-			idx, err = xtc.BuildIndexChecksummed(bytes.NewReader(prefix), int64(len(prefix)))
-			if err != nil {
-				st.closeAll()
-				return fail(fmt.Errorf("core: resume %s subset %s: %w", logical, tag, err))
-			}
-			if idx.Frames() != ck.Frames {
-				st.closeAll()
-				return fail(fmt.Errorf("core: resume %s subset %s: prefix holds %d frames, checkpoint says %d",
-					logical, tag, idx.Frames(), ck.Frames))
-			}
+			return fail(fmt.Errorf("subset %s: %w", tag, err))
 		}
 		be := a.backendFor(tag)
 		f, err := a.containers.CreateDropping(logical, stagingPrefix+subsetPrefix+tag, be)
 		if err != nil {
-			st.closeAll()
-			return fail(fmt.Errorf("core: resume %s: %w", logical, err))
+			return fail(err)
 		}
-		if len(prefix) > 0 {
-			if _, err := f.Write(prefix); err != nil {
+		if len(prefix.data) > 0 {
+			if _, err := f.Write(prefix.data); err != nil {
 				f.Close()
-				st.closeAll()
-				return fail(fmt.Errorf("core: resume %s subset %s: %w", logical, tag, err))
+				return fail(fmt.Errorf("subset %s: %w", tag, err))
 			}
 		}
-		tee := &crcTee{f: f, enabled: !a.opts.DisableChecksums, total: prefixCRC}
-		sw := &subsetWriter{
+		tee := &crcTee{f: f, enabled: !a.opts.DisableChecksums, total: prefix.crc}
+		st.writers = append(st.writers, &subsetWriter{
 			tag:     tag,
 			backend: be,
 			file:    f,
@@ -447,41 +381,108 @@ func (a *ADA) resumeStagedState(logical string, pdbData []byte, live bool) (*ing
 			w:       xtc.NewRawWriter(tee),
 			indices: st.tagRanges[tag].Indices(),
 			natoms:  st.tagRanges[tag].Count(),
-			base:    mark.Bytes,
-		}
-		if idx != nil {
-			for i := 0; i < idx.Frames(); i++ {
-				if tee.enabled {
-					sw.ib.AddWithCRC(idx.Size(i), idx.NAtoms(i), idx.CRC(i))
-				} else {
-					sw.ib.Add(idx.Size(i), idx.NAtoms(i))
-				}
-			}
-		}
-		st.writers = append(st.writers, sw)
+			ib:      prefix.ib,
+			base:    int64(len(prefix.data)),
+		})
 		st.staged = append(st.staged, subsetPrefix+tag)
 	}
 	st.report.Frames = ck.Frames
 	st.report.Compressed = ck.Compressed
 	st.report.Raw = ck.Raw
+	st.ckptFrames = ck.Frames
+	if st.journal, err = a.rewriteJournal(logical, &begin, &ck); err != nil {
+		return fail(err)
+	}
+	return st, nil
+}
 
-	// Rewrite the journal compactly: the original begin record plus one
-	// checkpoint at the resume point.
-	j, err := a.openJournal(logical)
-	if err != nil {
-		st.closeAll()
-		return fail(fmt.Errorf("core: resume %s: %w", logical, err))
+// resumePoint returns an uncommitted ingest journal's begin record and its
+// last checkpoint (a zero checkpoint when none landed: the ingest restarts
+// from frame 0).
+func resumePoint(recs []journalRecord) (begin, ck journalRecord, err error) {
+	if len(recs) == 0 || recs[0].Type != journalBegin {
+		return begin, ck, fmt.Errorf("journal has no begin record; run Recover")
 	}
-	st.journal = j
-	if err := j.append(&begin); err != nil {
-		st.abort()
-		return fail(fmt.Errorf("core: resume %s: %w", logical, err))
-	}
-	if ck.Frames > 0 {
-		if err := st.checkpoint(); err != nil {
-			st.abort()
-			return fail(fmt.Errorf("core: resume %s: %w", logical, err))
+	ck = journalRecord{Type: journalCkpt}
+	for _, rec := range recs[1:] {
+		switch rec.Type {
+		case journalCkpt:
+			ck = rec
+		case journalCommit:
+			return begin, ck, fmt.Errorf("ingest already committed; run Recover")
 		}
 	}
-	return st, begin, ck, nil
+	return recs[0], ck, nil
+}
+
+// stagedSubset is a staged subset dropping cut back to a checkpoint.
+type stagedSubset struct {
+	data []byte           // the checkpointed prefix
+	crc  uint32           // its CRC32C (0 with checksums disabled)
+	ib   xtc.IndexBuilder // its frame index, ready to extend
+}
+
+// stagedPrefix reads tag's staged subset dropping and cuts it back to the
+// checkpoint mark: the dropping must hold at least mark.Bytes, the prefix
+// must match the journaled CRC, and it must index to exactly frames
+// frames. A dropping the crash predates is an empty prefix when the mark
+// is zero. Bytes past the mark are the unjournaled tail and are dropped.
+func (a *ADA) stagedPrefix(logical, tag string, mark journalSubset, frames int) (*stagedSubset, error) {
+	data, err := a.readDropping(logical, stagingPrefix+subsetPrefix+tag)
+	if err != nil && (mark.Bytes != 0 || !errors.Is(err, vfs.ErrNotExist)) {
+		return nil, err
+	}
+	if int64(len(data)) < mark.Bytes {
+		// The journal promised bytes that never became durable: the
+		// backend lies about write ordering. Nothing trustworthy.
+		return nil, fmt.Errorf("staged dropping is %d bytes, checkpoint says %d: %w",
+			len(data), mark.Bytes, vfs.ErrCorrupted)
+	}
+	sp := &stagedSubset{data: data[:mark.Bytes]}
+	withCRC := !a.opts.DisableChecksums
+	if withCRC {
+		sp.crc = xtc.CRC32C(sp.data)
+		if mark.CRC != 0 && sp.crc != mark.CRC {
+			return nil, fmt.Errorf("checkpointed prefix fails its checksum: %w", vfs.ErrCorrupted)
+		}
+	}
+	if len(sp.data) == 0 {
+		return sp, nil
+	}
+	idx, err := xtc.BuildIndexChecksummed(bytes.NewReader(sp.data), int64(len(sp.data)))
+	if err != nil {
+		return nil, err
+	}
+	if idx.Frames() != frames {
+		return nil, fmt.Errorf("prefix holds %d frames, checkpoint says %d: %w",
+			idx.Frames(), frames, vfs.ErrCorrupted)
+	}
+	for i := 0; i < idx.Frames(); i++ {
+		if withCRC {
+			sp.ib.AddWithCRC(idx.Size(i), idx.NAtoms(i), idx.CRC(i))
+		} else {
+			sp.ib.Add(idx.Size(i), idx.NAtoms(i))
+		}
+	}
+	return sp, nil
+}
+
+// rewriteJournal replaces a container's journal with its compact form: the
+// begin record plus the checkpoint being resumed from (none at frame 0).
+func (a *ADA) rewriteJournal(logical string, begin, ck *journalRecord) (*journalWriter, error) {
+	j, err := a.openJournal(logical)
+	if err != nil {
+		return nil, err
+	}
+	if err := j.append(begin); err != nil {
+		j.close()
+		return nil, err
+	}
+	if ck.Frames > 0 {
+		if err := j.append(ck); err != nil {
+			j.close()
+			return nil, err
+		}
+	}
+	return j, nil
 }

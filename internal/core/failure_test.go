@@ -13,7 +13,7 @@ import (
 
 // tinyDeviceADA builds an ADA whose SSD backend is a device too small for
 // the protein subset.
-func tinyDeviceADA(t *testing.T, capacity int64) *ADA {
+func tinyDeviceADA(t *testing.T, capacity int64, opts Options) *ADA {
 	t.Helper()
 	dev := device.Device{
 		Name: "tiny", ReadBW: 100 * device.MB, WriteBW: 100 * device.MB,
@@ -28,27 +28,15 @@ func tinyDeviceADA(t *testing.T, capacity int64) *ADA {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(containers, nil, Options{})
+	return New(containers, nil, opts)
 }
 
 func TestIngestFailsCleanlyOnFullDevice(t *testing.T) {
 	pdbBytes, traj, _ := testDataset(t, 50, 8) // protein subset ~ hundreds of KB
-	a := tinyDeviceADA(t, 2*blockfs.BlockSize)
+	a := tinyDeviceADA(t, 2*blockfs.BlockSize, Options{})
 	_, err := a.Ingest("/ds", pdbBytes, bytes.NewReader(traj))
 	if err == nil {
 		t.Fatal("ingest onto a full device should fail")
-	}
-	if !errors.Is(err, blockfs.ErrNoSpace) {
-		t.Errorf("err = %v, want ErrNoSpace in the chain", err)
-	}
-}
-
-func TestIngestParallelFailsCleanlyOnFullDevice(t *testing.T) {
-	pdbBytes, traj, _ := testDataset(t, 50, 8)
-	a := tinyDeviceADA(t, 2*blockfs.BlockSize)
-	_, err := a.IngestParallel("/ds", pdbBytes, bytes.NewReader(traj), 2)
-	if err == nil {
-		t.Fatal("parallel ingest onto a full device should fail")
 	}
 	if !errors.Is(err, blockfs.ErrNoSpace) {
 		t.Errorf("err = %v, want ErrNoSpace in the chain", err)

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/analysis"
 	"repro/internal/xtc"
@@ -33,10 +32,8 @@ type SubsetStats struct {
 // for every subset in-situ, charging the extra work to the storage node.
 // The statistics are stored as stats.<tag> droppings beside the subsets.
 func (a *ADA) IngestWithStats(logical string, pdbData []byte, tr TrajectoryReader) (*IngestReport, error) {
-	var start float64
-	if a.env != nil {
-		start = a.env.Clock.Now()
-	}
+	span := a.reg.StartSpan("ingest.total")
+	defer span.End()
 	st, err := a.prepareIngest(logical, pdbData)
 	if err != nil {
 		return nil, err
@@ -45,34 +42,22 @@ func (a *ADA) IngestWithStats(logical string, pdbData []byte, tr TrajectoryReade
 	for i := range series {
 		series[i] = &analysis.TrajectoryStats{}
 	}
-	for {
-		frame, consumed, err := tr.ReadFrame()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			st.abort()
-			return nil, fmt.Errorf("core: ingest %s frame %d: %w", logical, st.report.Frames, err)
-		}
-		if tr.Compressed() {
-			a.chargeCPU("decompress", a.opts.Cost.decompressTime(consumed))
-		}
-		a.chargeCPU("categorize", a.opts.Cost.categorizeTime(xtc.RawFrameSize(frame.NAtoms())))
+	addStats := func(frame *xtc.Frame) error {
 		// The in-situ analysis pass reads every raw byte once more.
 		a.chargeCPU("insitu", a.opts.Cost.categorizeTime(xtc.RawFrameSize(frame.NAtoms())))
-		if err := st.writeFrame(frame, consumed); err != nil {
-			st.abort()
-			return nil, err
-		}
 		for i, sw := range st.writers {
-			// st.writeFrame just split this frame into sw.sub; the analysis
-			// pass reuses that scratch instead of re-splitting (Add copies
-			// what it retains).
+			// st.run just split this frame into sw.sub; the analysis pass
+			// reuses that scratch instead of re-splitting (Add copies what
+			// it retains).
 			if err := series[i].Add(&sw.sub); err != nil {
-				st.abort()
-				return nil, fmt.Errorf("core: in-situ stats %s: %w", sw.tag, err)
+				return fmt.Errorf("core: in-situ stats %s: %w", sw.tag, err)
 			}
 		}
+		return nil
+	}
+	if _, err := st.run(tr, addStats); err != nil {
+		st.abort()
+		return nil, err
 	}
 	st.closeAll()
 
@@ -93,7 +78,7 @@ func (a *ADA) IngestWithStats(logical string, pdbData []byte, tr TrajectoryReade
 		}
 		st.addExtra(statsPrefix+sw.tag, sw.backend, data)
 	}
-	return st.finish(start)
+	return st.finish()
 }
 
 // Stats loads a subset's in-situ statistics (an error when the dataset was

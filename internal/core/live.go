@@ -3,15 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
-	"time"
-
-	"repro/internal/vfs"
-	"repro/internal/xtc"
 )
 
 // Streaming (live) ingest.
@@ -138,9 +132,8 @@ func unmarshalLiveHead(data []byte) (*LiveHead, error) {
 // live dataset. It is safe for one appender goroutine; Head/Watch may be
 // called concurrently from others.
 type LiveIngest struct {
-	a     *ADA
-	st    *ingestState
-	start float64
+	a  *ADA
+	st *ingestState
 
 	mu      sync.Mutex
 	version int64
@@ -154,15 +147,11 @@ type LiveIngest struct {
 // journal's begin record is marked live (so Recover preserves instead of
 // rolling back), and an empty head is published for watchers.
 func (a *ADA) OpenLiveIngest(logical string, pdbData []byte) (*LiveIngest, error) {
-	var start float64
-	if a.env != nil {
-		start = a.env.Clock.Now()
-	}
 	st, err := a.prepareIngestMode(logical, pdbData, true)
 	if err != nil {
 		return nil, err
 	}
-	li := &LiveIngest{a: a, st: st, start: start, headCh: make(chan struct{})}
+	li := &LiveIngest{a: a, st: st, headCh: make(chan struct{})}
 	if err := li.publishHead(); err != nil {
 		st.abort()
 		return nil, fmt.Errorf("core: live ingest %s: %w", logical, err)
@@ -177,15 +166,11 @@ func (a *ADA) OpenLiveIngest(logical string, pdbData []byte) (*LiveIngest, error
 // must be the structure the dataset was opened with. The caller resumes
 // producing from frame Frames().
 func (a *ADA) ResumeLiveIngest(logical string, pdbData []byte) (*LiveIngest, error) {
-	var start float64
-	if a.env != nil {
-		start = a.env.Clock.Now()
-	}
-	st, _, _, err := a.resumeStagedState(logical, pdbData, true)
+	st, err := a.resumeStagedState(logical, pdbData, true)
 	if err != nil {
 		return nil, err
 	}
-	li := &LiveIngest{a: a, st: st, start: start, headCh: make(chan struct{})}
+	li := &LiveIngest{a: a, st: st, headCh: make(chan struct{})}
 	if err := li.publishHead(); err != nil {
 		st.closeAll()
 		return nil, fmt.Errorf("core: resume live %s: %w", logical, err)
@@ -239,11 +224,12 @@ func (li *LiveIngest) headLocked() LiveHead {
 
 // Append decodes one XTC-encoded batch of whole frames and appends them to
 // every subset, then journals a checkpoint and publishes the new head. It
-// returns the number of frames appended. A torn final frame fails the call
-// after the batch's complete frames have been published; the producer
-// re-sends the frame intact. The byte stream across all Appends must be
-// exactly what a one-shot Ingest of the dataset would have consumed, which
-// is what makes Seal's output indistinguishable from it.
+// returns the number of frames appended. A frame that is torn, fails to
+// decode, or does not match the structure fails the call after the batch's
+// earlier frames have been published; the producer re-sends from that frame.
+// A storage failure publishes nothing. The byte stream across all
+// Appends must be exactly what a one-shot Ingest of the dataset would have
+// consumed, which is what makes Seal's output indistinguishable from it.
 func (li *LiveIngest) Append(batch []byte) (int, error) {
 	li.mu.Lock()
 	defer li.mu.Unlock()
@@ -251,46 +237,15 @@ func (li *LiveIngest) Append(batch []byte) (int, error) {
 		return 0, fmt.Errorf("core: live ingest %s is closed", li.st.logical)
 	}
 	st := li.st
-	// Scan frame-by-frame rather than wrapping a buffered Reader: the
-	// scanner yields each frame's exact encoded bytes, so the journaled
-	// Compressed counter stays exact at every checkpoint — which is what
-	// keeps a post-crash resume's manifest byte-identical to a one-shot
-	// ingest (buffered read-ahead would smear bytes across checkpoints).
-	sc := xtc.NewScanner(bytes.NewReader(batch))
-	appended := 0
-	var decodeErr error
-	for {
-		t0 := time.Now()
-		blob, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		var frame *xtc.Frame
-		if err == nil {
-			frame, err = xtc.DecodeFrameBytes(blob)
-		}
-		li.a.im.decodeNS.Observe(time.Since(t0).Nanoseconds())
-		if err != nil {
-			decodeErr = fmt.Errorf("core: live ingest %s frame %d: %w",
-				st.logical, st.report.Frames, err)
-			break
-		}
-		consumed := int64(len(blob))
-		li.a.chargeCPU("decompress", li.a.opts.Cost.decompressTime(consumed))
-		li.a.chargeCPU("categorize", li.a.opts.Cost.categorizeTime(xtc.RawFrameSize(frame.NAtoms())))
-		t1 := time.Now()
-		if err := st.writeFrame(frame, consumed); err != nil {
-			return appended, err
-		}
-		li.a.im.writeNS.Observe(time.Since(t1).Nanoseconds())
-		appended++
-	}
-	if appended > 0 {
-		if err := li.publishLocked(); err != nil {
-			return appended, fmt.Errorf("core: live ingest %s: %w", st.logical, err)
+	before := st.report.Frames
+	intact, err := st.run(NewXTCTrajectory(bytes.NewReader(batch)), nil)
+	appended := st.report.Frames - before
+	if intact && appended > 0 {
+		if perr := li.publishLocked(); perr != nil {
+			return appended, fmt.Errorf("core: live ingest %s: %w", st.logical, perr)
 		}
 	}
-	return appended, decodeErr
+	return appended, err
 }
 
 // publishLocked checkpoints the journal at the current frame (unless the
@@ -361,7 +316,7 @@ func (li *LiveIngest) Seal() (*IngestReport, error) {
 		}
 	}
 	st.closeAll()
-	report, err := st.finish(li.start)
+	report, err := st.finish()
 	if err != nil {
 		return nil, err
 	}
@@ -413,12 +368,9 @@ func (a *ADA) sweepLive(logical string) error {
 // the checkpoint, and the journal is rewritten compactly. The dataset
 // stays live; ResumeLiveIngest continues it and Seal finishes it.
 func (a *ADA) recoverLive(logical string, recs []journalRecord) (RecoveryAction, error) {
-	begin := recs[0]
-	ck := journalRecord{Type: journalCkpt}
-	for _, rec := range recs[1:] {
-		if rec.Type == journalCkpt {
-			ck = rec
-		}
+	begin, ck, err := resumePoint(recs)
+	if err != nil {
+		return "", err
 	}
 	version := int64(0)
 	if data, err := a.readDropping(logical, liveHeadName); err == nil {
@@ -435,50 +387,20 @@ func (a *ADA) recoverLive(logical string, recs []journalRecord) (RecoveryAction,
 		Subsets:     map[string]LiveSubset{},
 	}
 	for _, jt := range begin.Tags {
-		mark := ck.Subsets[jt.Tag]
-		prefix, err := a.readDropping(logical, stagingPrefix+subsetPrefix+jt.Tag)
+		prefix, err := a.stagedPrefix(logical, jt.Tag, ck.Subsets[jt.Tag], ck.Frames)
 		if err != nil {
-			if mark.Bytes == 0 && errors.Is(err, vfs.ErrNotExist) {
-				prefix = nil // the kill predates this dropping
-			} else {
-				return "", fmt.Errorf("recover live subset %s: %w", jt.Tag, err)
-			}
-		}
-		if int64(len(prefix)) < mark.Bytes {
-			// The journal promised bytes that never became durable — the
-			// backend lies about write ordering. Nothing trustworthy.
-			return "", fmt.Errorf("recover live subset %s: staged dropping is %d bytes, checkpoint says %d: %w",
-				jt.Tag, len(prefix), mark.Bytes, vfs.ErrCorrupted)
-		}
-		prefix = prefix[:mark.Bytes]
-		if mark.CRC != 0 && xtc.CRC32C(prefix) != mark.CRC {
-			return "", fmt.Errorf("recover live subset %s: checkpointed prefix fails its checksum: %w",
-				jt.Tag, vfs.ErrCorrupted)
+			return "", fmt.Errorf("recover live subset %s: %w", jt.Tag, err)
 		}
 		// Rewrite the staged dropping to exactly the checkpointed prefix
-		// (CreateDropping truncates) and rebuild + republish its index.
-		if err := a.writeDropping(logical, stagingPrefix+subsetPrefix+jt.Tag, jt.Backend, prefix); err != nil {
+		// (CreateDropping truncates) and republish its index.
+		if err := a.writeDropping(logical, stagingPrefix+subsetPrefix+jt.Tag, jt.Backend, prefix.data); err != nil {
 			return "", err
 		}
-		var ib xtc.IndexBuilder
-		if len(prefix) > 0 {
-			idx, err := xtc.BuildIndexChecksummed(bytes.NewReader(prefix), int64(len(prefix)))
-			if err != nil {
-				return "", fmt.Errorf("recover live subset %s: %w", jt.Tag, err)
-			}
-			if idx.Frames() != ck.Frames {
-				return "", fmt.Errorf("recover live subset %s: prefix holds %d frames, checkpoint says %d: %w",
-					jt.Tag, idx.Frames(), ck.Frames, vfs.ErrCorrupted)
-			}
-			for i := 0; i < idx.Frames(); i++ {
-				ib.AddWithCRC(idx.Size(i), idx.NAtoms(i), idx.CRC(i))
-			}
-		}
-		if err := a.republishDropping(logical, liveIndexPrefix+jt.Tag, jt.Backend, ib.Index().Marshal()); err != nil {
+		if err := a.republishDropping(logical, liveIndexPrefix+jt.Tag, jt.Backend, prefix.ib.Index().Marshal()); err != nil {
 			return "", err
 		}
 		head.Subsets[jt.Tag] = LiveSubset{
-			NAtoms: jt.NAtoms, Bytes: mark.Bytes,
+			NAtoms: jt.NAtoms, Bytes: int64(len(prefix.data)),
 			Backend: jt.Backend, Ranges: jt.Ranges,
 		}
 	}
@@ -489,20 +411,9 @@ func (a *ADA) recoverLive(logical string, recs []journalRecord) (RecoveryAction,
 	if err := a.republishDropping(logical, liveHeadName, a.containers.Backends()[0], data); err != nil {
 		return "", err
 	}
-	// Rewrite the journal compactly: begin plus the one surviving ckpt.
-	j, err := a.openJournal(logical)
+	j, err := a.rewriteJournal(logical, &begin, &ck)
 	if err != nil {
 		return "", err
-	}
-	if err := j.append(&begin); err != nil {
-		j.close()
-		return "", err
-	}
-	if ck.Frames > 0 {
-		if err := j.append(&ck); err != nil {
-			j.close()
-			return "", err
-		}
 	}
 	if err := j.close(); err != nil {
 		return "", err

@@ -182,16 +182,7 @@ func (lr *LiveReader) applyHeadLocked(h *LiveHead, crc uint32) error {
 	}
 	idxBytes, err := a.readDropping(lr.logical, liveIndexPrefix+lr.tag)
 	if errors.Is(err, vfs.ErrNotExist) {
-		// Seal raced us between the head load and the index load: the
-		// live droppings are swept. Reload the head; it must be sealed now.
-		h2, crc2, err2 := a.liveHeadAndCRC(lr.logical)
-		if err2 != nil {
-			return err2
-		}
-		if h2.Sealed {
-			return lr.applyHeadLocked(h2, crc2)
-		}
-		return err
+		return lr.droppingGoneLocked(crc)
 	}
 	if err != nil {
 		return fmt.Errorf("core: live %s subset %s index: %w", lr.logical, lr.tag, err)
@@ -201,8 +192,20 @@ func (lr *LiveReader) applyHeadLocked(h *LiveHead, crc uint32) error {
 		return fmt.Errorf("core: live %s subset %s: %w", lr.logical, lr.tag, err)
 	}
 	f, err := a.containers.OpenDropping(lr.logical, stagingPrefix+subsetPrefix+lr.tag)
+	if errors.Is(err, vfs.ErrNotExist) {
+		return lr.droppingGoneLocked(crc)
+	}
 	if err != nil {
 		return err
+	}
+	if f.Size() < h.Subsets[lr.tag].Bytes {
+		// A resuming producer recreates the staged dropping and writes its
+		// checkpointed prefix back before republishing; this handle caught
+		// the file short. Skip the head like an in-flight commit: the
+		// resumed session's publish wakes the next wait.
+		f.Close()
+		lr.headCRC = crc
+		return nil
 	}
 	frames := h.Frames
 	if idx.Frames() < frames {
@@ -216,6 +219,29 @@ func (lr *LiveReader) applyHeadLocked(h *LiveHead, crc uint32) error {
 	lr.frames = frames
 	lr.sealed = false
 	lr.head = *h
+	lr.headCRC = crc
+	return nil
+}
+
+// droppingGoneLocked handles a live dropping that vanished after the head
+// (CRC crc) was loaded: Seal raced the load. Its commit renames the staged
+// subset to its final name, publishes the manifest, and then sweeps the
+// live droppings, and a reader on its own storage stack can observe any
+// step half done. Once the head reloads sealed, or the manifest is
+// published, the reader switches to the committed droppings. Before that
+// the commit is still in flight: the reader keeps its current frames and
+// skips this head, so the next wait wakes when Seal removes live.json.
+func (lr *LiveReader) droppingGoneLocked(crc uint32) error {
+	h, hcrc, err := lr.a.liveHeadAndCRC(lr.logical)
+	if err != nil {
+		return err
+	}
+	if h.Sealed {
+		return lr.applyHeadLocked(h, hcrc)
+	}
+	if m, err := lr.a.Manifest(lr.logical); err == nil {
+		return lr.applyHeadLocked(sealedHead(m), 0)
+	}
 	lr.headCRC = crc
 	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -539,5 +540,94 @@ func TestResumeLiveRejectsOneShot(t *testing.T) {
 	if _, err := a.ResumeLiveIngest("/oneshot", pdbBytes); err == nil ||
 		!strings.Contains(err.Error(), "ResumeIngest") {
 		t.Fatalf("ResumeLiveIngest on a one-shot journal = %v", err)
+	}
+}
+
+// TestLiveReaderSealRace applies a head loaded before Seal after Seal has
+// moved the live droppings, at two points of the commit. Once the commit
+// has finished (live.index swept) the reader must switch to the sealed
+// container at once. Mid-commit — the staged subset already renamed to its
+// final name, the live head still published — it must keep its frames
+// without failing, and end sealed once the commit completes. Either way it
+// ends holding every frame.
+func TestLiveReaderSealRace(t *testing.T) {
+	const frames = 10
+	pdbBytes, traj, _ := testDataset(t, 200, frames)
+	golden, _, _ := newADA(t, nil, Options{Metrics: metrics.NewRegistry()})
+	if _, err := golden.Ingest("/ds", pdbBytes, bytes.NewReader(traj)); err != nil {
+		t.Fatal(err)
+	}
+	want := readSubsetFrames(t, golden, "/ds", TagProtein)
+	batches := batchFrames(splitFrames(t, traj), 6)
+	staged, final := stagingPrefix+subsetPrefix+TagProtein, subsetPrefix+TagProtein
+
+	for _, midCommit := range []bool{false, true} {
+		t.Run(fmt.Sprintf("midCommit=%v", midCommit), func(t *testing.T) {
+			a, _, _ := newADA(t, nil, Options{Metrics: metrics.NewRegistry()})
+			li, err := a.OpenLiveIngest("/ds", pdbBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := li.Append(batches[0]); err != nil {
+				t.Fatal(err)
+			}
+			lr, err := a.OpenLiveReader("/ds", TagProtein, time.Hour)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lr.Close()
+			if _, err := li.Append(batches[1]); err != nil {
+				t.Fatal(err)
+			}
+			stale, crc, err := a.liveHeadAndCRC("/ds")
+			if err != nil {
+				t.Fatal(err)
+			}
+			apply := func() (bool, int) {
+				t.Helper()
+				lr.mu.Lock()
+				defer lr.mu.Unlock()
+				if err := lr.applyHeadLocked(stale, crc); err != nil {
+					t.Fatalf("applying the pre-seal head: %v", err)
+				}
+				return lr.sealed, lr.frames
+			}
+			if midCommit {
+				// The commit's first rename, observed before the rest.
+				if err := a.containers.RenameDropping("/ds", staged, final); err != nil {
+					t.Fatal(err)
+				}
+				if sealed, n := apply(); sealed || n != len(splitFrames(t, batches[0])) {
+					t.Fatalf("mid-commit reader sealed=%v frames=%d, want its first %d frames",
+						sealed, n, len(splitFrames(t, batches[0])))
+				}
+				if err := a.containers.RenameDropping("/ds", final, staged); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := li.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			if midCommit {
+				// The wait wakes when Seal removes the head.
+				if n, err := lr.WaitFrames(frames, 5*time.Second); err != nil || n != frames {
+					t.Fatalf("WaitFrames after seal = %d, %v", n, err)
+				}
+			} else if sealed, n := apply(); !sealed || n != frames {
+				t.Fatalf("reader sealed=%v frames=%d, want sealed with %d frames", sealed, n, frames)
+			}
+			if lr.Live() {
+				t.Error("reader still live after seal")
+			}
+			for i := 0; i < frames; i++ {
+				f, err := lr.ReadFrameAt(i)
+				if err != nil {
+					t.Fatalf("frame %d: %v", i, err)
+				}
+				if !sameFrames([]*xtc.Frame{f}, want[i:i+1]) {
+					t.Fatalf("frame %d differs from the one-shot ingest", i)
+				}
+			}
+		})
 	}
 }

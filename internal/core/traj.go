@@ -18,22 +18,26 @@ type TrajectoryReader interface {
 	Compressed() bool
 }
 
-// xtcTrajectory adapts an XTC stream.
+// xtcTrajectory adapts an XTC stream. The scanner frames each frame before
+// it is decoded, so the bytes reported consumed are exactly that frame's
+// encoded length; a buffered reader's read-ahead would smear them across
+// frames and with them the journaled Compressed count at every checkpoint.
 type xtcTrajectory struct {
-	in *countingReader
-	r  *xtc.Reader
+	sc *xtc.Scanner
 }
 
 // NewXTCTrajectory wraps a compressed (or raw) XTC stream for ingest.
 func NewXTCTrajectory(r io.Reader) TrajectoryReader {
-	in := &countingReader{r: r}
-	return &xtcTrajectory{in: in, r: xtc.NewReader(in)}
+	return &xtcTrajectory{sc: xtc.NewScanner(r)}
 }
 
 func (t *xtcTrajectory) ReadFrame() (*xtc.Frame, int64, error) {
-	before := t.in.n
-	f, err := t.r.ReadFrame()
-	return f, t.in.n - before, err
+	blob, err := t.sc.Next()
+	if err != nil {
+		return nil, 0, err
+	}
+	f, err := xtc.DecodeFrameBytes(blob)
+	return f, int64(len(blob)), err
 }
 
 func (t *xtcTrajectory) Compressed() bool { return true }
@@ -88,32 +92,16 @@ func (t *trrTrajectory) Compressed() bool { return false }
 
 // IngestTrajectory is Ingest for any supported trajectory format.
 func (a *ADA) IngestTrajectory(logical string, pdbData []byte, tr TrajectoryReader) (*IngestReport, error) {
-	var start float64
-	if a.env != nil {
-		start = a.env.Clock.Now()
-	}
+	span := a.reg.StartSpan("ingest.total")
+	defer span.End()
 	st, err := a.prepareIngest(logical, pdbData)
 	if err != nil {
 		return nil, err
 	}
-	for {
-		frame, consumed, err := tr.ReadFrame()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			st.abort()
-			return nil, fmt.Errorf("core: ingest %s frame %d: %w", logical, st.report.Frames, err)
-		}
-		if tr.Compressed() {
-			a.chargeCPU("decompress", a.opts.Cost.decompressTime(consumed))
-		}
-		a.chargeCPU("categorize", a.opts.Cost.categorizeTime(xtc.RawFrameSize(frame.NAtoms())))
-		if err := st.writeFrame(frame, consumed); err != nil {
-			st.abort()
-			return nil, err
-		}
+	if _, err := st.run(tr, nil); err != nil {
+		st.abort()
+		return nil, err
 	}
 	st.closeAll()
-	return st.finish(start)
+	return st.finish()
 }

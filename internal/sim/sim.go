@@ -6,10 +6,10 @@
 //
 // Charges are deterministic: the same inputs always produce the same
 // reported times and energies regardless of the host machine. Clock and
-// Profile are mutex-protected so parallel pipelines (core.IngestParallel)
-// can charge device time concurrently; components that fan work out in
-// parallel account wall time as the slowest stage via ChargeConcurrent
-// plus one AdvanceTo/Advance of the maximum.
+// Profile are mutex-protected so concurrent components (playback prefetch
+// workers, striped PVFS servers) can charge time from several goroutines;
+// components that fan work out in parallel account wall time as the slowest
+// stage via ChargeConcurrent plus one AdvanceTo/Advance of the maximum.
 package sim
 
 import (

@@ -132,8 +132,8 @@ func DecodeFrame(r *xdr.Reader) (*Frame, error) {
 		if natoms < 0 {
 			return nil, fmt.Errorf("xtc: negative atom count %d", natoms)
 		}
-		f.Coords = make([]Vec3, natoms)
 		if natoms <= smallAtomThreshold {
+			f.Coords = make([]Vec3, natoms)
 			for i := 0; i < natoms; i++ {
 				for d := 0; d < 3; d++ {
 					f.Coords[i][d] = r.Float32()
@@ -159,6 +159,13 @@ func DecodeFrame(r *xdr.Reader) (*Frame, error) {
 		if f.Precision <= 0 {
 			return nil, fmt.Errorf("xtc: invalid precision %g", f.Precision)
 		}
+		// Every atom costs at least one bit of blob (its run field or its
+		// small delta), so a count the blob cannot hold is rejected before
+		// the coordinates are allocated.
+		if natoms > 8*len(blob) {
+			return nil, fmt.Errorf("xtc: compressed frame atom count %d exceeds its %d-byte blob", natoms, len(blob))
+		}
+		f.Coords = make([]Vec3, natoms)
 		ints := getInts(natoms * 3)
 		defer putInts(ints)
 		if err := decompressCoords(blob, natoms, minInt, sizeInt, smallIdx, ints); err != nil {

@@ -54,12 +54,17 @@ type ParallelReader struct {
 	results chan decodeBatch
 	quit    chan struct{}
 	once    sync.Once
+	// window holds one token per batch in flight: the scanner takes one
+	// before handing a batch to the pool and the consumer returns it once
+	// it has moved past that batch. Its capacity, 2*workers+1, bounds every
+	// batch between the scanner and the consumer, so a worker descheduled
+	// on batch next cannot let the others run the stream ahead into
+	// pending.
+	window chan struct{}
 
 	// Consumer-side re-sequencing state. cur is the batch being delivered;
-	// out-of-order arrivals wait in pending, whose size is bounded by the
-	// channel capacities: at most cap(work)+cap(results) batches can be in
-	// flight beyond the one the consumer needs, so len(pending) never
-	// exceeds 2*workers+1 (asserted by tests via maxPending).
+	// out-of-order arrivals wait in pending, which the window bounds to
+	// fewer than 2*workers+1 entries (asserted by tests via maxPending).
 	pending    map[int]decodeBatch
 	cur        decodeBatch
 	curIdx     int
@@ -166,6 +171,7 @@ func (p *ParallelReader) start() {
 	p.work = make(chan scanBatch, p.workers)
 	p.results = make(chan decodeBatch, p.workers+1)
 	p.quit = make(chan struct{})
+	p.window = make(chan struct{}, 2*p.workers+1)
 	p.pm.workers.Set(int64(p.workers))
 
 	var wg sync.WaitGroup
@@ -206,6 +212,12 @@ func (p *ParallelReader) start() {
 				}
 				blob = grown
 				ends = append(ends, len(blob))
+			}
+			select {
+			case p.window <- struct{}{}:
+			case <-p.quit:
+				putBytes(blob)
+				return
 			}
 			select {
 			case p.work <- scanBatch{seq: seq, blob: blob, ends: ends, err: scanErr}:
@@ -284,6 +296,7 @@ func (p *ParallelReader) ReadFrameSize() (*Frame, int64, error) {
 			}
 			p.haveCur = false
 			p.next++
+			<-p.window
 		}
 		if d, ok := p.pending[p.next]; ok {
 			delete(p.pending, p.next)

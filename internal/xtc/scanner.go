@@ -25,25 +25,30 @@ func NewScanner(r io.Reader) *Scanner {
 	return &Scanner{br: bufio.NewReaderSize(r, 1<<16)}
 }
 
+// fillStep bounds how far fill grows the buffer beyond the bytes that have
+// actually arrived, so a header claiming a huge frame costs memory only as
+// its bytes are read.
+const fillStep = 1 << 20
+
 // fill extends buf by n bytes read from the stream. On a read error the
 // buffer is returned at its original length, so callers accumulating many
 // frames keep every complete frame scanned so far.
 func (s *Scanner) fill(buf []byte, n int) ([]byte, error) {
 	old := len(buf)
-	if cap(buf) < old+n {
-		// Amortized growth: an exact-size allocation per frame would make
-		// multi-frame batch accumulation quadratic.
-		newCap := 2 * cap(buf)
-		if newCap < old+n {
-			newCap = old + n
+	for len(buf) < old+n {
+		have := len(buf)
+		step := min(old+n-have, fillStep)
+		if cap(buf) < have+step {
+			// Amortized growth: an exact-size allocation per frame would
+			// make multi-frame batch accumulation quadratic.
+			nb := make([]byte, have, max(2*cap(buf), have+step))
+			copy(nb, buf)
+			buf = nb
 		}
-		nb := make([]byte, old, newCap)
-		copy(nb, buf)
-		buf = nb
-	}
-	buf = buf[:old+n]
-	if _, err := io.ReadFull(s.br, buf[old:]); err != nil {
-		return buf[:old], err
+		buf = buf[:have+step]
+		if _, err := io.ReadFull(s.br, buf[have:]); err != nil {
+			return buf[:old], err
+		}
 	}
 	return buf, nil
 }
